@@ -5,32 +5,34 @@
 // to simultaneously connected clients — directly for sessions they host, and
 // through the notification broker for sessions on other API servers.
 //
-// # Request pipeline
+// # Request path
 //
-// Every one of Table 2's operations flows through the same dispatch
-// pipeline. A request is wrapped in a pooled OpContext (session, user,
-// virtual timestamp, cost accumulator, in-flight trace Event) and pushed
-// through an ordered interceptor chain into a per-op handler table built at
-// server construction:
+// Every one of Table 2's operations takes the same path. A request is
+// wrapped in a pooled OpContext (session, user, virtual timestamp, cost
+// accumulator, in-flight trace Event) and handed to dispatch (dispatch.go),
+// which runs four steps in source order:
 //
-//	proc-load → metrics → events → status-map → inject → durability →
-//	notify → session-guard → admit → cancel → handler
+//  1. gates, each able to refuse the request before any back-end work:
+//     session guard → inject → region → SSO bucket → watermark admission →
+//     deadline and abort;
+//  2. the handler, looked up in a per-op table built at server construction;
+//  3. success-only effects: queued notification delivery, the journal sync
+//     charge on durable mutations, retry-success accounting;
+//  4. for every request: the uniform error→Status mapping and correlation
+//     ID, the trace event, the per-op latency/error metrics, and the
+//     per-process op count.
 //
 // Handlers (one registered Handler per protocol.Op) contain only the
 // operation's business logic: they issue DAL RPCs that charge their sampled
 // service times to the context's cost accumulator, enrich the trace Event,
-// and queue watcher notifications. Everything cross-cutting — per-process
-// load counting, per-op latency/error metrics, trace-event emission, the
-// uniform error→Status mapping, deterministic per-op fault injection
-// (Config.Faults), notification delivery on success, and per-op-class load
-// shedding under overload (Config.AdmitWatermark) — lives in one interceptor
-// each and wraps every operation identically, so a new operation is one
-// registration, not a new switch arm. See dispatch.go for the interceptor
-// contract and the OpContext lifecycle.
+// and queue watcher notifications. Everything cross-cutting lives once in
+// dispatch and applies to every operation identically, so a new operation is
+// one registration, not a new switch arm. See dispatch.go for the OpContext
+// lifecycle.
 //
 // The server runs in two harnesses: in-process (the discrete-event simulator
 // calls OpenSession/Handle directly, with virtual timestamps) and over real
-// TCP (see tcp.go), both driving exactly the same pipeline.
+// TCP (see tcp.go), both driving exactly the same dispatch.
 package apiserver
 
 import (
@@ -90,8 +92,8 @@ type PusherFunc func(*protocol.Push)
 // Push implements Pusher.
 func (f PusherFunc) Push(p *protocol.Push) { f(p) }
 
-// RegionRouter is the metadata tier's region-topology probe: the region
-// interceptor consults it to refuse mutations whose owning metadata region is
+// RegionRouter is the metadata tier's region-topology probe: dispatch's
+// region gate consults it to refuse mutations whose owning metadata region is
 // down before any back-end work is spent. The metadata store implements it.
 type RegionRouter interface {
 	// WriteUnavailable reports whether a mutation on vol would be refused
@@ -113,13 +115,13 @@ type Deps struct {
 	// nil keeps the server fully functional but unobserved.
 	Metrics *metrics.Registry
 	// Regions, when non-nil and reporting more than one region, enables the
-	// region interceptor: mutations owned by a down metadata region are
-	// refused with StatusUnavailable at the API edge.
+	// region gate: mutations owned by a down metadata region are refused
+	// with StatusUnavailable at the API edge.
 	Regions RegionRouter
-	// SSO, when non-nil, is the fleet-shared SSO-tier token bucket: the
-	// admit interceptor sheds Authenticate requests with StatusOverloaded
-	// when the bucket is dry, closing the gap that admission's op classes
-	// never covered login storms. Shared across the fleet because there is
+	// SSO, when non-nil, is the fleet-shared SSO-tier token bucket: dispatch
+	// sheds Authenticate requests with StatusOverloaded when the bucket is
+	// dry, closing the gap that admission's op classes never covered login
+	// storms. Shared across the fleet because there is
 	// one SSO tier, not one per API machine.
 	SSO *faults.SSOAdmission
 }
@@ -138,7 +140,7 @@ type Config struct {
 	InlineData bool
 	// QueueDepth bounds the notification queue on the broker.
 	QueueDepth int
-	// Faults is the deterministic per-op fault plan the inject interceptor
+	// Faults is the deterministic per-op fault plan dispatch's inject gate
 	// applies (nil or zero-value injects nothing; see faults.Plan).
 	Faults *faults.Plan
 	// AdmitWatermark enables per-op-class load shedding: when a process has
@@ -146,12 +148,12 @@ type Config struct {
 	// further data operations are refused with StatusOverloaded (metadata at
 	// 2x, session management at 4x). Zero disables shedding.
 	AdmitWatermark int
-	// Durability marks the metadata store as journaled: the durability
-	// interceptor charges FsyncPolicy's sync cost to every successful
-	// mutating operation, pricing the write-ahead log into the request path.
+	// Durability marks the metadata store as journaled: dispatch charges
+	// FsyncPolicy's sync cost to every successful mutating operation,
+	// pricing the write-ahead log into the request path.
 	Durability bool
-	// FsyncPolicy is the journal sync policy whose deterministic cost the
-	// durability interceptor charges; ignored unless Durability is set.
+	// FsyncPolicy is the journal sync policy whose deterministic cost
+	// dispatch charges; ignored unless Durability is set.
 	FsyncPolicy wal.Policy
 	// SyncCostScale multiplies the fsync policy's modeled sync cost — the
 	// slow-disk degradation knob (a failing array syncs slower; the data
@@ -203,23 +205,18 @@ type Server struct {
 	// trace collector can attach mid-traffic.
 	observers cow.List[Observer]
 
-	// handlers is the per-op dispatch table and pipeline the interceptor
-	// chain wrapped around its lookup; both are built once by buildPipeline
-	// and immutable afterwards. interceptorNames documents the chain order,
-	// outermost first.
-	handlers         []Handler
-	pipeline         Handler
-	interceptorNames []string
+	// handlers is the per-op dispatch table, built once by registerHandlers
+	// and immutable afterwards.
+	handlers []Handler
 
 	procOps []uint64 // per-process API op counters (atomic)
 
-	// admission is the per-process load-shedding state behind the admit
-	// interceptor; nil when Config.AdmitWatermark is zero.
+	// admission is the per-process load-shedding state behind the watermark
+	// gate; nil when Config.AdmitWatermark is zero.
 	admission *faults.Admission
 
-	// regions is the metadata region-topology probe behind the region
-	// interceptor; nil for single-region deployments (the common case), so
-	// the interceptor is a passthrough.
+	// regions is the metadata region-topology probe behind the region gate;
+	// nil for single-region deployments (the common case), which skip it.
 	regions       RegionRouter
 	regionRefused *metrics.Counter
 
@@ -320,7 +317,7 @@ func New(cfg Config, deps Deps) *Server {
 	if deps.Broker != nil {
 		s.queue = deps.Broker.Register(cfg.Name, cfg.QueueDepth)
 	}
-	s.buildPipeline()
+	s.registerHandlers()
 	return s
 }
 
@@ -381,8 +378,7 @@ func (s *Server) emit(e Event) {
 }
 
 // OpenSession authenticates a token and establishes a session (the
-// Authenticate API call), dispatching through the same pipeline as every
-// other operation. The returned response mirrors what goes on the wire; the
+// Authenticate API call), dispatching like every other operation. The returned response mirrors what goes on the wire; the
 // duration covers the auth RPC. Accounts are provisioned lazily on first
 // successful authentication, which keeps simulation setup out of the trace
 // window.
@@ -396,7 +392,7 @@ func (s *Server) OpenSession(token string, pusher Pusher, now time.Time) (*Sessi
 	return sess, resp, d
 }
 
-// CloseSession terminates a session through the pipeline, which emits its
+// CloseSession terminates a session through dispatch, which emits its
 // session-end event and charges the close to the session's process.
 func (s *Server) CloseSession(sess *Session, now time.Time) {
 	if sess == nil {

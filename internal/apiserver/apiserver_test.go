@@ -1,6 +1,7 @@
 package apiserver
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -167,6 +168,55 @@ func TestUploadSmallFileSkipsMultipart(t *testing.T) {
 	}
 	if bs := f.blob.Stats(); bs.MultipartCreated != 0 || bs.Puts != 1 {
 		t.Errorf("small upload should use a single put: %+v", bs)
+	}
+}
+
+// TestOverwriteFreesReplacedBlob pins blob garbage collection on overwrite,
+// on both commit paths: a final PutPart and a PutContent dedup hit each
+// delete the content they replace once nothing references it, so a file
+// overwritten again and again holds one object at the data store.
+func TestOverwriteFreesReplacedBlob(t *testing.T) {
+	f := newFixture(t)
+	sess := f.session(t, 2)
+	root := f.rootOf(t, sess)
+	mkFile := func(name string) protocol.NodeID {
+		mk, _ := f.srv.Handle(sess, &protocol.Request{Op: protocol.OpMakeFile, Volume: root, Name: name}, t0)
+		return mk.Node.ID
+	}
+	upload := func(node protocol.NodeID, content string) *protocol.Response {
+		put, _ := f.srv.Handle(sess, &protocol.Request{
+			Op: protocol.OpPutContent, Volume: root, Node: node, Name: "a.txt",
+			Hash: protocol.HashBytes([]byte(content)), Size: 100,
+		}, t0)
+		if put.Reused {
+			return put
+		}
+		resp, _ := f.srv.Handle(sess, &protocol.Request{
+			Op: protocol.OpPutPart, Upload: put.Upload, Part: 0, Size: 100, Final: true,
+		}, t0)
+		return resp
+	}
+
+	a := mkFile("a.txt")
+	for i := 0; i <= 5; i++ { // one upload, five overwrites
+		if resp := upload(a, fmt.Sprintf("v%d", i)); resp.Status != protocol.StatusOK {
+			t.Fatalf("upload v%d: %v", i, resp.Status)
+		}
+	}
+	if got := f.blob.Stats().Objects; got != 1 {
+		t.Errorf("after 5 overwrites the store holds %d objects, want 1", got)
+	}
+
+	// Overwrite a.txt with content b.txt already holds: a dedup hit, no
+	// transfer, and a.txt's old content goes.
+	if resp := upload(mkFile("b.txt"), "shared"); resp.Status != protocol.StatusOK {
+		t.Fatalf("upload b.txt: %v", resp.Status)
+	}
+	if resp := upload(a, "shared"); resp.Status != protocol.StatusOK || !resp.Reused {
+		t.Fatalf("dedup overwrite: status %v reused %v", resp.Status, resp.Reused)
+	}
+	if got := f.blob.Stats().Objects; got != 1 {
+		t.Errorf("after the dedup overwrite the store holds %d objects, want 1", got)
 	}
 }
 

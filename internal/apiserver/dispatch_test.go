@@ -1,18 +1,11 @@
 package apiserver
 
 import (
-	"reflect"
 	"sync"
 	"testing"
 	"time"
 
-	"u1/internal/auth"
-	"u1/internal/blob"
-	"u1/internal/metadata"
-	"u1/internal/metrics"
-	"u1/internal/notify"
 	"u1/internal/protocol"
-	"u1/internal/rpc"
 )
 
 // TestEveryOpHasRegisteredHandler pins the dispatch-table invariant: all of
@@ -48,51 +41,8 @@ func TestUnknownOpTableDefault(t *testing.T) {
 	}
 }
 
-// TestInterceptorOrderDeterministic asserts both that the configured chain
-// matches the documented order and that construction is reproducible: two
-// servers built from the same config report identical chains.
-func TestInterceptorOrderDeterministic(t *testing.T) {
-	want := []string{"proc-load", "metrics", "events", "status-map", "inject", "region", "durability", "notify", "session-guard", "admit", "cancel"}
-	a, b := newFixture(t), newFixture(t)
-	if got := a.srv.InterceptorOrder(); !reflect.DeepEqual(got, want) {
-		t.Errorf("interceptor order = %v, want %v", got, want)
-	}
-	if !reflect.DeepEqual(a.srv.InterceptorOrder(), b.srv.InterceptorOrder()) {
-		t.Error("two identically configured servers report different chains")
-	}
-}
-
-// TestChainInvocationOrder drives a synthetic chain and checks the wrap
-// semantics interceptors rely on: the first interceptor passed to chain is
-// outermost — first on the way in, last on the way out.
-func TestChainInvocationOrder(t *testing.T) {
-	var trace []string
-	mk := func(name string) Interceptor {
-		return func(next Handler) Handler {
-			return func(c *OpContext) (*protocol.Response, error) {
-				trace = append(trace, "in:"+name)
-				resp, err := next(c)
-				trace = append(trace, "out:"+name)
-				return resp, err
-			}
-		}
-	}
-	base := func(*OpContext) (*protocol.Response, error) {
-		trace = append(trace, "handler")
-		return &protocol.Response{Status: protocol.StatusOK}, nil
-	}
-	h := chain(base, mk("a"), mk("b"), mk("c"))
-	if _, err := h(&OpContext{Req: &protocol.Request{}}); err != nil {
-		t.Fatal(err)
-	}
-	want := []string{"in:a", "in:b", "in:c", "handler", "out:c", "out:b", "out:a"}
-	if !reflect.DeepEqual(trace, want) {
-		t.Errorf("invocation order = %v, want %v", trace, want)
-	}
-}
-
 // TestUniformErrorStatusMapping substitutes a failing stub for every
-// registered op and checks that the status-map interceptor translates each
+// registered op and checks that dispatch's status mapping translates each
 // sentinel error identically regardless of which operation raised it — the
 // property the old per-arm StatusOf calls only upheld by convention.
 func TestUniformErrorStatusMapping(t *testing.T) {
@@ -231,25 +181,11 @@ func TestDynamicAPIObserverAttach(t *testing.T) {
 }
 
 // TestSuppressedEventsStillRecordMetrics pins the flag split: PutPart/GetPart
-// suppress their trace events but still count in the per-op metrics — the
-// event and metrics interceptors honor different opt-outs, so merging the
+// suppress their trace events but still count in the per-op metrics — event
+// emission and metric recording honor different opt-outs, so merging the
 // two flags would silently drop part ops from the bench report.
 func TestSuppressedEventsStillRecordMetrics(t *testing.T) {
-	reg := metrics.NewRegistry()
-	f := &fixture{
-		store:  metadata.New(metadata.Config{Shards: 4}),
-		blob:   blob.New(blob.Config{}),
-		auth:   auth.New(auth.Config{Seed: 1}),
-		broker: notify.NewBroker(),
-	}
-	f.srv = New(Config{Name: "m", Procs: 2}, Deps{
-		RPC:      rpc.NewServer(f.store, rpc.Config{Seed: 1, Metrics: reg}),
-		Auth:     f.auth,
-		Blob:     f.blob,
-		Broker:   f.broker,
-		Transfer: blob.DefaultTransferModel(),
-		Metrics:  reg,
-	})
+	f, reg := newMeteredFixture(t, Config{}, Deps{})
 	var events []Event
 	f.srv.AddObserver(func(e Event) { events = append(events, e) })
 	sess := f.session(t, 36)
@@ -266,7 +202,7 @@ func TestSuppressedEventsStillRecordMetrics(t *testing.T) {
 	}
 }
 
-// TestCancelDropsAbandonedWork pins the cancel interceptor's contract: a
+// TestCancelDropsAbandonedWork pins the abort gate's contract: a
 // request whose abort probe reports a dead client is dropped with
 // StatusCancelled before the handler runs, charges no RPC cost, and keeps
 // its correlation ID.
@@ -318,29 +254,12 @@ func TestCancelDeadlineExceeded(t *testing.T) {
 }
 
 // TestCancelledRequestStillObservable ensures dropped work is not invisible:
-// the cancel happens inside the metrics and events interceptors, so the
-// trace event and the per-op error counter both record the StatusCancelled
-// outcome.
+// the cancel is a gate, and every gate refusal still gets dispatch's
+// every-request bookkeeping, so the trace event and the per-op error counter
+// both record the StatusCancelled outcome.
 func TestCancelledRequestStillObservable(t *testing.T) {
-	reg := metrics.NewRegistry()
-	store := metadata.New(metadata.Config{Shards: 4})
-	authSvc := auth.New(auth.Config{Seed: 1})
-	srv := New(Config{Name: "m", Procs: 2}, Deps{
-		RPC:      rpc.NewServer(store, rpc.Config{Seed: 1, Metrics: reg}),
-		Auth:     authSvc,
-		Blob:     blob.New(blob.Config{}),
-		Broker:   notify.NewBroker(),
-		Transfer: blob.DefaultTransferModel(),
-		Metrics:  reg,
-	})
-	token, err := authSvc.Issue(62)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sess, resp, _ := srv.OpenSession(token, nil, t0)
-	if resp.Status != protocol.StatusOK {
-		t.Fatalf("open session: %v", resp.Status)
-	}
+	f, reg := newMeteredFixture(t, Config{}, Deps{})
+	srv, sess := f.srv, f.session(t, 62)
 	var events []Event
 	srv.AddObserver(func(e Event) { events = append(events, e) })
 	srv.HandleWithCancel(sess, &protocol.Request{Op: protocol.OpListVolumes}, t0,
@@ -358,9 +277,9 @@ func TestCancelledRequestStillObservable(t *testing.T) {
 	}
 }
 
-// TestCancelViaCancelingInterceptor drives cancellation the way an
-// interceptor-shaped client would: a probe that flips to aborted only after
-// the first request, proving the decision is re-evaluated per dispatch.
+// TestCancelViaCancelingInterceptor drives cancellation the way a dying
+// connection would: a probe that flips to aborted only after the first
+// request, proving the decision is re-evaluated per dispatch.
 func TestCancelViaCancelingInterceptor(t *testing.T) {
 	f := newFixture(t)
 	sess := f.session(t, 63)

@@ -18,6 +18,14 @@ import (
 // fault plan and admission watermark.
 func newFaultFixture(t *testing.T, plan *faults.Plan, watermark int) (*fixture, *metrics.Registry) {
 	t.Helper()
+	return newMeteredFixture(t, Config{Faults: plan, AdmitWatermark: watermark}, Deps{})
+}
+
+// newMeteredFixture builds a two-process server with a metrics registry from
+// cfg (its Name and Procs are overwritten) and the optional Regions and SSO
+// of extra.
+func newMeteredFixture(t *testing.T, cfg Config, extra Deps) (*fixture, *metrics.Registry) {
+	t.Helper()
 	reg := metrics.NewRegistry()
 	f := &fixture{
 		store:  metadata.New(metadata.Config{Shards: 4}),
@@ -25,18 +33,21 @@ func newFaultFixture(t *testing.T, plan *faults.Plan, watermark int) (*fixture, 
 		auth:   auth.New(auth.Config{Seed: 1}),
 		broker: notify.NewBroker(),
 	}
-	f.srv = New(Config{Name: "m", Procs: 2, Faults: plan, AdmitWatermark: watermark}, Deps{
+	cfg.Name, cfg.Procs = "m", 2
+	f.srv = New(cfg, Deps{
 		RPC:      rpc.NewServer(f.store, rpc.Config{Seed: 1, Metrics: reg}),
 		Auth:     f.auth,
 		Blob:     f.blob,
 		Broker:   f.broker,
 		Transfer: blob.DefaultTransferModel(),
 		Metrics:  reg,
+		Regions:  extra.Regions,
+		SSO:      extra.SSO,
 	})
 	return f, reg
 }
 
-// TestInjectFailsConfiguredOpOnly pins the inject interceptor: an op with
+// TestInjectFailsConfiguredOpOnly pins the inject gate: an op with
 // Fraction 1 always fails with the configured status, other ops are
 // untouched, and the failure is observable — error counter up, trace event
 // carrying the status — without contaminating the latency histogram.

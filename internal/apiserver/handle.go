@@ -9,7 +9,7 @@ import (
 	"u1/internal/protocol"
 )
 
-// Handle dispatches one authenticated request through the pipeline. It
+// Handle dispatches one authenticated request. It
 // returns the response and the simulated service time of the operation (the
 // accumulated RPC service times plus data-store transfer estimates for data
 // operations). The caller supplies now — wall clock on the TCP path, virtual
@@ -19,10 +19,9 @@ func (s *Server) Handle(sess *Session, req *protocol.Request, now time.Time) (*p
 }
 
 // HandleWithCancel is Handle with cancellation: a non-zero deadline already
-// in the past, or an aborted probe returning true, makes the cancel
-// interceptor drop the request with StatusCancelled before the handler runs
-// — the TCP harness uses the probe to stop doing work for disconnected
-// clients mid-pipeline.
+// in the past, or an aborted probe returning true, makes dispatch drop the
+// request with StatusCancelled before the handler runs — the TCP harness
+// uses the probe to stop doing work for disconnected clients.
 func (s *Server) HandleWithCancel(sess *Session, req *protocol.Request, now time.Time, deadline time.Time, aborted func() bool) (*protocol.Response, time.Duration) {
 	c := s.newOpContext(sess, req, now)
 	c.Deadline = deadline
@@ -205,9 +204,14 @@ func (s *Server) opPutContent(c *OpContext) (*protocol.Response, error) {
 		return nil, err
 	}
 	if exists {
-		node, _, wasUpdate, err := s.deps.RPC.MakeContent(c.User, req.Volume, req.Node, req.Hash, req.Size, c.Now, &c.Cost)
+		node, freed, wasUpdate, err := s.deps.RPC.MakeContent(c.User, req.Volume, req.Node, req.Hash, req.Size, c.Now, &c.Cost)
 		if err != nil {
 			return nil, err
+		}
+		// The overwritten content lost its last reference: drop its blob,
+		// as Unlink does.
+		if freed != nil {
+			s.deps.Blob.DeleteObject(freed.Hex())
 		}
 		c.Event.IsUpdate = wasUpdate
 		c.Event.Wire = 0 // dedup hit: no bytes cross the wire
@@ -310,9 +314,12 @@ func (s *Server) opPutPart(c *OpContext) (*protocol.Response, error) {
 			s.deps.Blob.PutObjectSized(key, up.plainSize)
 		}
 	}
-	node, _, wasUpdate, err := s.deps.RPC.MakeContent(c.User, up.job.Volume, up.job.Node, up.job.Hash, up.plainSize, c.Now, &c.Cost)
+	node, freed, wasUpdate, err := s.deps.RPC.MakeContent(c.User, up.job.Volume, up.job.Node, up.job.Hash, up.plainSize, c.Now, &c.Cost)
 	if err != nil {
 		return nil, err
+	}
+	if freed != nil {
+		s.deps.Blob.DeleteObject(freed.Hex())
 	}
 	s.deps.RPC.DeleteUploadJob(c.User, req.Upload, c.Now, &c.Cost) //nolint:errcheck
 	s.uploadsMu.Lock()

@@ -53,8 +53,8 @@ func (s *Server) RunNotifier(done <-chan struct{}) {
 
 // connWriter serializes frame writes: responses and pushes share the
 // connection. It also tracks connection death: the first failed write flips
-// the dead flag, which the dispatch pipeline probes (OpContext.Aborted) so
-// in-flight requests for a disconnected client are dropped mid-pipeline
+// the dead flag, which dispatch probes (OpContext.Aborted) so in-flight
+// requests for a disconnected client are dropped before their handler runs
 // instead of doing back-end work nobody will read.
 type connWriter struct {
 	mu   sync.Mutex
@@ -74,7 +74,7 @@ func (w *connWriter) writeFrame(msgType byte, payload []byte) error {
 
 // Push implements Pusher by writing a push frame. Write errors terminate the
 // connection lazily: the read loop notices, and the dead flag aborts any
-// request still in the pipeline.
+// request not yet past dispatch's gates.
 func (w *connWriter) Push(p *protocol.Push) {
 	_ = w.writeFrame(protocol.FramePush, p.Marshal())
 }

@@ -232,7 +232,7 @@ func MeasureGenerator(users, days int) metrics.GeneratorStats {
 // MeasureDurability prices the metadata WAL under each fsync policy: appends
 // per second against a throwaway journal in dir (a temp directory the caller
 // owns), the measured sync-per-append ratio of the policy's cadence, and the
-// deterministic per-mutation cost the durability interceptor charges. ops ≤ 0
+// deterministic per-mutation cost the API dispatch charges. ops ≤ 0
 // picks a default small enough that even per-op fsync finishes in seconds.
 func MeasureDurability(dir string, ops int) (metrics.DurabilityStats, error) {
 	if ops <= 0 {

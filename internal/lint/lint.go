@@ -17,8 +17,8 @@
 //
 // The pass catalog is returned by Passes (determinism, maporder,
 // lockdiscipline, metricname, each in its own file); ROADMAP.md documents each
-// pass's contract and the follow-up passes still open (interceptor-ordering,
-// journal-under-lock flow analysis).
+// pass's contract and the follow-up pass still open (journal-under-lock flow
+// analysis).
 package lint
 
 import (

@@ -86,7 +86,7 @@ type GeneratorStats struct {
 // WALPolicyStats prices one fsync policy of the durable metadata tier:
 // measured journal append throughput, the sync-per-append ratio of the
 // policy's cadence, and the deterministic per-mutation sync cost the
-// durability interceptor charges to the request path.
+// API dispatch charges to the request path.
 type WALPolicyStats struct {
 	AppendsPerSec  float64 `json:"appends_per_sec"`
 	SyncsPerAppend float64 `json:"syncs_per_append"`

@@ -89,6 +89,12 @@ type histStripe struct {
 // Histogram is a lock-striped, fixed-bucket latency/size histogram. Observe
 // is wait-free apart from the CAS loop on the per-stripe sum; Snapshot folds
 // the stripes into one consistent view.
+//
+// Counts, buckets, Min and Max are exact. Sum and Mean repeat bit for bit
+// only within one binary: the stripe comes from the caller's stack address
+// (stripeProbe), and float addition is not associative, so a build that adds
+// or removes stack frames on the path to Observe regroups the per-stripe
+// sums and can move them in their last bits.
 type Histogram struct {
 	stripes [histStripes]histStripe
 	// minBits/maxBits hold float64 bits, seeded to ±Inf so plain CAS loops

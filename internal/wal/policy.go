@@ -67,12 +67,11 @@ func Policies() []Policy {
 	return []Policy{FsyncPerOp, FsyncGroupCommit, FsyncAsync}
 }
 
-// SyncCost is the deterministic per-mutation service time the durability
-// interceptor charges to protocol.Cost: the full flush under per-op sync,
-// the flush amortized over the batch under group commit, and nothing under
-// async. A pure function of the policy — never of host disk speed — so a
-// fixed (Seed, Workers, FaultPlan) run stays bit-for-bit reproducible with
-// durability on.
+// SyncCost is the deterministic per-mutation service time the API dispatch
+// charges to protocol.Cost: the full flush under per-op sync, the flush
+// amortized over the batch under group commit, and nothing under async. A
+// pure function of the policy — never of host disk speed — so a fixed (Seed,
+// Workers, FaultPlan) run stays bit-for-bit reproducible with durability on.
 func (p Policy) SyncCost() time.Duration {
 	switch p {
 	case FsyncPerOp:
